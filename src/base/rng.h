@@ -97,6 +97,14 @@ class Philox {
   int lane_ = 0;
 };
 
+// Seed of the k-th (1-based) in-circuit measurement of a run seeded with
+// `seed`. Every backend draws measurement k from this seed, which is what
+// makes outcomes agree between cpu and dist:N, and between hip and hip:N,
+// for the same request seed.
+constexpr std::uint64_t measurement_seed(std::uint64_t seed, std::uint64_t k) {
+  return seed ^ (0x9E3779B97F4A7C15 * k);
+}
+
 // xoshiro256** by Blackman & Vigna (public domain reference implementation
 // restructured as a C++ engine).
 class Xoshiro256 {

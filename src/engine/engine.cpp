@@ -116,8 +116,8 @@ std::string canonical_request_summary(const SimRequest& req) {
   s.reserve(64 + req.circuit.gates.size() * 96);
   app_str(s, req.backend);
   app_u64(s, req.precision == Precision::kSingle ? 1 : 2);
-  app_u64(s, req.max_fused);
-  app_u64(s, req.window);
+  app_u64(s, req.fusion.max_fused_qubits);
+  app_u64(s, req.fusion.window_moments);
   app_u64(s, req.seed);
   app_u64(s, req.num_samples);
   app_u64(s, req.amplitude_indices.size());
@@ -204,7 +204,7 @@ struct SimulationEngine::TrajectoryBatch {
   std::uint64_t submit_us = 0;
   std::uint64_t run_start_us = 0;
   Timer queued;     // copy of the job's submit timer (total_seconds)
-  Timer run_timer;  // started at launch (run_seconds)
+  Timer run_timer;  // reset with run_start_us (run_seconds)
   std::promise<SimResult> promise;
   CompletionFn on_done;  // taken over from the job, like the promise
   std::shared_ptr<Flight> flight;  // non-null iff the request is cacheable
@@ -444,8 +444,8 @@ std::uint64_t SimulationEngine::result_key(const SimRequest& req,
   std::uint64_t h = circuit_hash;
   for (char c : req.backend) mix(h, static_cast<unsigned char>(c));
   mix(h, req.precision == Precision::kSingle ? 1 : 2);
-  mix(h, req.max_fused);
-  mix(h, req.window);
+  mix(h, req.fusion.max_fused_qubits);
+  mix(h, req.fusion.window_moments);
   mix(h, req.seed);
   mix(h, req.num_samples);
   mix(h, req.amplitude_indices.size());
@@ -974,7 +974,9 @@ void SimulationEngine::launch_trajectory_batch(
   batch->deadline = deadline;
   batch->corr = job.corr;
   batch->submit_us = job.submit_us;
+  // The run stage starts here, after the normalize ("fuse") step above.
   batch->run_start_us = Timer::now_micros();
+  batch->run_timer.reset();
   batch->queued = job.queued;
   batch->key = key;
   batch->summary = std::move(summary);

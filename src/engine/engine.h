@@ -134,71 +134,6 @@ struct SimRequest {
   // stopping decision is made on the ordered trajectory prefix, so it is
   // deterministic regardless of worker scheduling.
   double trajectory_tolerance = 0;
-
-  // Deprecated aliases of fusion.max_fused_qubits / fusion.window_moments,
-  // kept for one release so `req.max_fused = 3` keeps compiling (migration
-  // note in DESIGN.md §13). They alias `fusion`, which is why the copy/move
-  // operations below are hand-written: the defaults would rebind-copy the
-  // *source's* references and dangle.
-  unsigned& max_fused = fusion.max_fused_qubits;
-  unsigned& window = fusion.window_moments;
-
-  SimRequest() = default;
-  SimRequest(const SimRequest& o)
-      : circuit(o.circuit), backend(o.backend), precision(o.precision),
-        fusion(o.fusion), seed(o.seed), num_samples(o.num_samples),
-        amplitude_indices(o.amplitude_indices), want_state(o.want_state),
-        timeout_seconds(o.timeout_seconds),
-        bypass_result_cache(o.bypass_result_cache), kind(o.kind),
-        observable(o.observable), noise(o.noise),
-        num_trajectories(o.num_trajectories),
-        trajectory_tolerance(o.trajectory_tolerance) {}
-  SimRequest(SimRequest&& o) noexcept
-      : circuit(std::move(o.circuit)), backend(std::move(o.backend)),
-        precision(o.precision), fusion(o.fusion), seed(o.seed),
-        num_samples(o.num_samples),
-        amplitude_indices(std::move(o.amplitude_indices)),
-        want_state(o.want_state), timeout_seconds(o.timeout_seconds),
-        bypass_result_cache(o.bypass_result_cache), kind(o.kind),
-        observable(std::move(o.observable)), noise(std::move(o.noise)),
-        num_trajectories(o.num_trajectories),
-        trajectory_tolerance(o.trajectory_tolerance) {}
-  SimRequest& operator=(const SimRequest& o) {
-    circuit = o.circuit;
-    backend = o.backend;
-    precision = o.precision;
-    fusion = o.fusion;
-    seed = o.seed;
-    num_samples = o.num_samples;
-    amplitude_indices = o.amplitude_indices;
-    want_state = o.want_state;
-    timeout_seconds = o.timeout_seconds;
-    bypass_result_cache = o.bypass_result_cache;
-    kind = o.kind;
-    observable = o.observable;
-    noise = o.noise;
-    num_trajectories = o.num_trajectories;
-    trajectory_tolerance = o.trajectory_tolerance;
-    return *this;
-  }
-  SimRequest& operator=(SimRequest&& o) noexcept {
-    circuit = std::move(o.circuit);
-    backend = std::move(o.backend);
-    precision = o.precision;
-    fusion = o.fusion;
-    seed = o.seed;
-    num_samples = o.num_samples;
-    amplitude_indices = std::move(o.amplitude_indices);
-    want_state = o.want_state;
-    timeout_seconds = o.timeout_seconds;
-    bypass_result_cache = o.bypass_result_cache;
-    kind = o.kind;
-    observable = std::move(o.observable);
-    noise = std::move(o.noise);
-    num_trajectories = o.num_trajectories;
-    trajectory_tolerance = o.trajectory_tolerance;
-    return *this;
-  }
 };
 
 struct SimResult {

@@ -4,21 +4,21 @@
 // counts" (§7). Each MI250X package already exposes two GCDs as separate
 // devices, so this is the natural next step for the port.
 //
-// Design: the cache-blocking distribution of Doi & Horii (cited by the
-// paper's related work) adapted to 2^d virtual GCDs.
+// The state is split over 2^d virtual GCDs by the partitioned layout of
+// src/statespace/partition.h (qHiPSTER qubit remapping, the cache-blocking
+// distribution of Doi & Horii; shared with dist:N): GCD k holds the amplitudes whose top d physical index bits equal
+// k, local gates run independently on every GCD with the single-device
+// ApplyGateH/L kernels, and a gate touching a global slot first swaps it
+// with a local one. What is specific to this backend:
 //
-//  * The state vector is split by the top d physical index bits: GCD k
-//    holds the 2^(n-d) amplitudes whose top bits equal k ("global" slots);
-//    the low n-d bits are "local" slots addressable inside one GCD.
-//  * A logical->physical qubit layout is maintained. Gates whose targets
-//    are all local run independently on every GCD with the single-device
-//    ApplyGateH/L kernels — no communication.
-//  * A gate touching a global slot first swaps that slot with a free local
-//    slot: for each GCD pair differing in the global bit, the halves with
-//    opposite local-bit values are exchanged (pack kernel -> peer copy ->
-//    unpack kernel; the emulator stages peer copies through the host and
-//    records them as hipMemcpyPeer traffic). The layout permutation is
-//    updated instead of ever moving data back.
+//  * Transport. A slot swap exchanges, for each GCD pair differing in the
+//    global bit, the halves with opposite local-bit values (pack kernel ->
+//    peer copy -> unpack kernel; the emulator stages peer copies through
+//    the host and records them as hipMemcpyPeer traffic).
+//  * Eviction without lookahead: the highest free local slot. Farthest-
+//    next-use eviction could move a qubit below kLowBits, and every later
+//    gate on it would then run ApplyGateL, ~60x the cost of ApplyGateH on
+//    the virtual GPU; it stays off until that trade is measured.
 //  * Sampling draws per-GCD probability masses, splits the sorted uniforms
 //    across GCDs, resolves locally, and maps physical indices back through
 //    the layout.
@@ -26,16 +26,17 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "src/base/bits.h"
 #include "src/base/deadline.h"
 #include "src/base/error.h"
+#include "src/base/rng.h"
 #include "src/core/circuit.h"
 #include "src/hipsim/simulator_hip.h"
 #include "src/hipsim/state_space_hip_kernels.h"
 #include "src/hipsim/vectorspace_hip.h"
+#include "src/statespace/partition.h"
 
 namespace qhip::hipsim {
 
@@ -58,12 +59,8 @@ struct PackHalfKernel {
 
   void operator()(vgpu::KernelCtx& ctx) const {
     const index_t stride = static_cast<index_t>(ctx.grid_dim()) * ctx.block_dim();
-    const index_t bit = index_t{1} << bit_pos;
     for (index_t t = ctx.global_idx(); t < half; t += stride) {
-      const index_t lo = t & (bit - 1);
-      const index_t src = ((t >> bit_pos) << (bit_pos + 1)) | lo |
-                          (bit_value ? bit : 0);
-      out[t] = amps[src];
+      out[t] = amps[statespace::half_index(t, bit_pos, bit_value)];
     }
   }
 };
@@ -78,12 +75,8 @@ struct UnpackHalfKernel {
 
   void operator()(vgpu::KernelCtx& ctx) const {
     const index_t stride = static_cast<index_t>(ctx.grid_dim()) * ctx.block_dim();
-    const index_t bit = index_t{1} << bit_pos;
     for (index_t t = ctx.global_idx(); t < half; t += stride) {
-      const index_t lo = t & (bit - 1);
-      const index_t dst = ((t >> bit_pos) << (bit_pos + 1)) | lo |
-                          (bit_value ? bit : 0);
-      amps[dst] = in[t];
+      amps[statespace::half_index(t, bit_pos, bit_value)] = in[t];
     }
   }
 };
@@ -99,21 +92,15 @@ class MultiGcdSimulator {
                     vgpu::DeviceProps props = vgpu::mi250x_gcd(),
                     Tracer* tracer = nullptr,
                     std::shared_ptr<vgpu::FaultPlan> faults = nullptr)
-      : n_(num_qubits),
-        d_(log2_exact(num_gcds)),
-        local_(num_qubits - d_),
-        tracer_(tracer) {
-    check(is_pow2(num_gcds) && num_gcds >= 2,
-          "MultiGcdSimulator: num_gcds must be a power of two >= 2");
-    check(num_qubits > d_ + 1, "MultiGcdSimulator: too few qubits to split");
-    layout_.resize(n_);
-    std::iota(layout_.begin(), layout_.end(), 0u);  // phys slot -> logical q
+      : layout_(num_qubits, num_gcds) {
+    check(num_gcds >= 2, "MultiGcdSimulator: num_gcds must be a power of two >= 2");
+    check(local_qubits() >= 2, "MultiGcdSimulator: too few qubits to split");
     for (unsigned k = 0; k < num_gcds; ++k) {
       devices_.push_back(std::make_unique<vgpu::Device>(props, tracer));
       if (faults) devices_.back()->set_fault_plan(faults);
       sims_.push_back(std::make_unique<SimulatorHIP<FP>>(*devices_.back()));
       states_.push_back(
-          std::make_unique<DeviceStateVector<FP>>(*devices_.back(), local_));
+          std::make_unique<DeviceStateVector<FP>>(*devices_.back(), local_qubits()));
       // Per-GCD exchange machinery: a stream for the pack -> peer copy ->
       // unpack pipeline, a persistent staging buffer (half the local state),
       // and events ordering the exchange against the gate kernels.
@@ -131,8 +118,8 @@ class MultiGcdSimulator {
     for (unsigned k = 0; k < num_gcds(); ++k) devices_[k]->free(xbufs_[k]);
   }
 
-  unsigned num_qubits() const { return n_; }
-  unsigned num_gcds() const { return 1u << d_; }
+  unsigned num_qubits() const { return layout_.num_qubits(); }
+  unsigned num_gcds() const { return layout_.num_parts(); }
   // hipDeviceSynchronize on every GCD: joins all pending gate and exchange
   // work (needed before reading wall-clock timers).
   void synchronize() {
@@ -146,22 +133,22 @@ class MultiGcdSimulator {
       sims_[k]->state_space().fill(*states_[k], cplx<FP>{});
     }
     sims_[0]->state_space().set_ampl(*states_[0], 0, cplx<FP>{1});
-    std::iota(layout_.begin(), layout_.end(), 0u);
+    layout_.reset();
   }
 
   // Applies one (unitary) gate; controlled gates are folded first.
   void apply_gate(const Gate& gate) {
     Gate g = normalized(gate.controls.empty() ? gate : expand_controls(gate));
     check(!g.is_measurement(), "MultiGcdSimulator: measurement via measure()");
-    check(g.num_targets() <= local_,
+    check(g.num_targets() <= local_qubits(),
           "MultiGcdSimulator: gate wider than the local qubit count");
 
-    // Localize every target: swap global slots with free local slots.
-    for (qubit_t q : g.qubits) localize(q, g.qubits);
-
-    // Remap logical targets to physical slots (all local now).
+    // Localize every target, then remap to physical slots (all local now).
+    layout_.localize(g.qubits, nullptr, [this](unsigned gslot, unsigned lslot) {
+      swap_slots(gslot, lslot);
+    });
     Gate phys = g;
-    for (auto& q : phys.qubits) q = slot_of(q);
+    for (auto& q : phys.qubits) q = layout_.slot_of(q);
     phys = normalized(phys);
 
     for (unsigned k = 0; k < num_gcds(); ++k) {
@@ -175,13 +162,12 @@ class MultiGcdSimulator {
   void run(const Circuit& c, std::uint64_t seed = 0,
            std::vector<index_t>* measurements = nullptr,
            const Deadline& deadline = {}) {
-    check(c.num_qubits == n_, "MultiGcdSimulator::run: qubit mismatch");
+    check(c.num_qubits == num_qubits(), "MultiGcdSimulator::run: qubit mismatch");
     std::uint64_t meas_idx = 0;
     for (const auto& g : c.gates) {
       deadline.check("MultiGcdSimulator::run");
       if (g.is_measurement()) {
-        const index_t outcome =
-            measure(g.qubits, seed ^ (0x9E3779B97F4A7C15 * ++meas_idx));
+        const index_t outcome = measure(g.qubits, measurement_seed(seed, ++meas_idx));
         if (measurements) measurements->push_back(outcome);
       } else {
         apply_gate(g);
@@ -199,14 +185,14 @@ class MultiGcdSimulator {
 
   // Gathers the full state in *logical* qubit order.
   StateVector<FP> to_host() const {
-    StateVector<FP> out(n_);
+    StateVector<FP> out(num_qubits());
     out[0] = cplx<FP>{};
-    StateVector<FP> part(local_);
+    StateVector<FP> part(local_qubits());
     for (unsigned k = 0; k < num_gcds(); ++k) {
       states_[k]->download(part);
-      const index_t base = static_cast<index_t>(k) << local_;
+      const index_t base = static_cast<index_t>(k) << local_qubits();
       for (index_t i = 0; i < part.size(); ++i) {
-        out[physical_to_logical(base | i)] = part[i];
+        out[layout_.physical_to_logical(base | i)] = part[i];
       }
     }
     return out;
@@ -240,9 +226,9 @@ class MultiGcdSimulator {
         // Draw (k1 - k0) samples from GCD k's local distribution.
         const auto local = sims_[k]->state_space().sample(
             *states_[k], k1 - k0, seed ^ (0x9E37ull * (k + 1)));
-        const index_t base = static_cast<index_t>(k) << local_;
+        const index_t base = static_cast<index_t>(k) << local_qubits();
         for (index_t li : local) {
-          out.push_back(physical_to_logical(base | li));
+          out.push_back(layout_.physical_to_logical(base | li));
         }
       }
       csum += mass[k];
@@ -259,12 +245,12 @@ class MultiGcdSimulator {
       for (unsigned k = 1; k < num_gcds(); ++k) {
         if (mass[k] > mass[kmax]) kmax = k;
       }
-      const index_t base = static_cast<index_t>(kmax) << local_;
+      const index_t base = static_cast<index_t>(kmax) << local_qubits();
       std::uint64_t tail_seed = seed ^ 0x777;
       while (out.size() < rs.size()) {
         const auto extra =
             sims_[kmax]->state_space().sample(*states_[kmax], 1, tail_seed++);
-        out.push_back(physical_to_logical(base | extra[0]));
+        out.push_back(layout_.physical_to_logical(base | extra[0]));
       }
     }
     return out;
@@ -294,26 +280,13 @@ class MultiGcdSimulator {
     const std::vector<index_t> one = sample(1, seed);
     const index_t outcome = gather_bits(one[0], qubits);
 
-    // Collapse: physical constraint per GCD.
-    index_t lmask = 0, lval = 0;  // over local slots
-    for (std::size_t j = 0; j < qubits.size(); ++j) {
-      const unsigned slot = slot_of(qubits[j]);
-      const index_t bitval = (outcome >> j) & 1;
-      if (slot < local_) {
-        lmask |= index_t{1} << slot;
-        lval |= bitval << slot;
-      }
-    }
+    // Collapse: zero the GCDs the outcome rules out, and in the others the
+    // amplitudes whose local bits disagree with it.
+    const statespace::CollapsePlan plan = layout_.collapse_plan(qubits);
+    const index_t lmask = plan.local_mask();
+    const index_t lval = plan.local_value(outcome);
     for (unsigned k = 0; k < num_gcds(); ++k) {
-      bool device_allowed = true;
-      for (std::size_t j = 0; j < qubits.size(); ++j) {
-        const unsigned slot = slot_of(qubits[j]);
-        if (slot >= local_) {
-          const index_t devbit = (k >> (slot - local_)) & 1;
-          device_allowed &= devbit == ((outcome >> j) & 1);
-        }
-      }
-      if (!device_allowed) {
+      if (!plan.survives(k, outcome)) {
         sims_[k]->state_space().fill(*states_[k], cplx<FP>{});
       } else if (lmask != 0) {
         CollapseKernel<FP> ck{states_[k]->device_data(), states_[k]->size(),
@@ -345,40 +318,7 @@ class MultiGcdSimulator {
   }
 
  private:
-  unsigned slot_of(qubit_t logical) const {
-    for (unsigned s = 0; s < n_; ++s) {
-      if (layout_[s] == logical) return s;
-    }
-    throw Error("MultiGcdSimulator: logical qubit not in layout");
-  }
-
-  index_t physical_to_logical(index_t phys) const {
-    index_t logical = 0;
-    for (unsigned s = 0; s < n_; ++s) {
-      if (phys & (index_t{1} << s)) logical |= index_t{1} << layout_[s];
-    }
-    return logical;
-  }
-
-  // Ensures logical qubit q sits in a local slot, swapping with a free
-  // local slot if needed. `targets` are the gate's logical qubits (their
-  // slots must not be displaced).
-  void localize(qubit_t q, const std::vector<qubit_t>& targets) {
-    const unsigned gslot = slot_of(q);
-    if (gslot < local_) return;
-
-    // Find the highest local slot holding a non-target logical qubit.
-    unsigned lslot = local_;
-    for (unsigned s = local_; s-- > 0;) {
-      const qubit_t holder = layout_[s];
-      if (std::find(targets.begin(), targets.end(), holder) == targets.end()) {
-        lslot = s;
-        break;
-      }
-    }
-    check(lslot < local_, "MultiGcdSimulator: no free local slot");
-    swap_slots(gslot, lslot);
-  }
+  unsigned local_qubits() const { return layout_.local_qubits(); }
 
   // Exchanges a global slot with a local slot across all GCD pairs. Three
   // asynchronous phases on the per-GCD exchange streams: (1) behind the
@@ -388,7 +328,7 @@ class MultiGcdSimulator {
   // to the compute streams via stream_wait_event. Devices of a pair (and
   // all pairs) overlap their pack/copy work.
   void swap_slots(unsigned gslot, unsigned lslot) {
-    const unsigned gbit = gslot - local_;  // bit within the GCD index
+    const unsigned gbit = gslot - local_qubits();  // bit within the GCD index
     const index_t half = states_[0]->size() >> 1;
     const std::size_t bytes = half * sizeof(cplx<FP>);
 
@@ -420,7 +360,6 @@ class MultiGcdSimulator {
       unpack_from_host(p.b, lslot, 0, p.host_a.data(), bytes);
       stats_.peer_bytes += 2 * bytes;
     }
-    std::swap(layout_[gslot], layout_[lslot]);
     ++stats_.slot_swaps;
   }
 
@@ -467,10 +406,7 @@ class MultiGcdSimulator {
             kReduceBlockDim, 0, false, s};
   }
 
-  unsigned n_;
-  unsigned d_;
-  unsigned local_;
-  Tracer* tracer_;
+  statespace::PartitionLayout layout_;
   std::vector<std::unique_ptr<vgpu::Device>> devices_;
   std::vector<std::unique_ptr<SimulatorHIP<FP>>> sims_;
   std::vector<std::unique_ptr<DeviceStateVector<FP>>> states_;
@@ -478,7 +414,6 @@ class MultiGcdSimulator {
   std::vector<vgpu::Event> ev_gates_;    // gate kernels drained, per GCD
   std::vector<vgpu::Event> ev_exchanged_;  // exchange landed, per GCD
   std::vector<cplx<FP>*> xbufs_;         // persistent pack/unpack staging
-  std::vector<qubit_t> layout_;  // physical slot -> logical qubit
   MultiGcdStats stats_;
 };
 

@@ -18,6 +18,7 @@
 
 #include "src/base/deadline.h"
 #include "src/base/error.h"
+#include "src/base/rng.h"
 #include "src/core/circuit.h"
 #include "src/hipsim/simulator_hip_kernels.h"
 #include "src/hipsim/state_space_hip.h"
@@ -117,7 +118,7 @@ class SimulatorHIP {
       deadline.check("SimulatorHIP::run");
       if (g.is_measurement()) {
         const index_t outcome =
-            space_.measure(s, g.qubits, seed ^ (0x9E3779B97F4A7C15 * ++meas_idx));
+            space_.measure(s, g.qubits, measurement_seed(seed, ++meas_idx));
         if (measurements) measurements->push_back(outcome);
       } else {
         apply_gate(g, s);

@@ -21,6 +21,7 @@
 
 #include <immintrin.h>
 
+#include "src/base/rng.h"
 #include "src/base/threadpool.h"
 #include "src/core/circuit.h"
 #include "src/simulator/apply.h"
@@ -176,7 +177,7 @@ class SimulatorAVX {
     for (const auto& g : c.gates) {
       if (g.is_measurement()) {
         const index_t outcome = statespace::measure(
-            state, g.qubits, seed ^ (0x9E3779B97F4A7C15 * ++meas_idx), *pool_);
+            state, g.qubits, measurement_seed(seed, ++meas_idx), *pool_);
         if (measurements) measurements->push_back(outcome);
       } else {
         apply_gate(g, state);

@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "src/base/deadline.h"
+#include "src/base/rng.h"
 #include "src/base/threadpool.h"
 #include "src/core/circuit.h"
 #include "src/prof/trace.h"
@@ -58,9 +59,8 @@ class SimulatorCPU {
     for (const auto& g : c.gates) {
       deadline.check("SimulatorCPU::run");
       if (g.is_measurement()) {
-        const index_t outcome =
-            statespace::measure(state, g.qubits, seed ^ (0x9E3779B97F4A7C15 * ++meas_idx),
-                                *pool_);
+        const index_t outcome = statespace::measure(
+            state, g.qubits, measurement_seed(seed, ++meas_idx), *pool_);
         if (measurements) measurements->push_back(outcome);
       } else {
         apply_gate(g, state);

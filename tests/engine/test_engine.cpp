@@ -32,7 +32,7 @@ SimRequest request(const Circuit& c, const char* backend,
   SimRequest req;
   req.circuit = c;
   req.backend = backend;
-  req.max_fused = 3;
+  req.fusion.max_fused_qubits = 3;
   req.seed = seed;
   req.num_samples = 32;
   return req;

@@ -168,6 +168,28 @@ TEST(EngineWorkloads, TrajectoryEarlyStopIsDeterministic) {
   EXPECT_GE(em.trajectories_run, 8u);
 }
 
+// Queue, normalize ("fuse") and run are disjoint intervals inside submit ->
+// completion, so their sum never exceeds the total. Long circuits with
+// distinct seeds make every normalize a cache miss that takes measurable
+// time, which the run timer once counted a second time; bypassing the
+// result cache keeps the untimed request-summary work between the stages
+// small, so double counting shows as an excess.
+TEST(EngineWorkloads, TrajectoryStageTimesPartitionTotal) {
+  SimulationEngine eng;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SimRequest req = trajectory_request(make_rqc(2, 2, 200, seed), 2);
+    req.bypass_result_cache = true;
+    const SimResult res = eng.run(req);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_FALSE(res.fused_cache_hit);
+    EXPECT_LE(res.queue_seconds + res.fuse_seconds + res.run_seconds,
+              res.total_seconds + 1e-6)
+        << "seed " << seed << ": queue " << res.queue_seconds << " fuse "
+        << res.fuse_seconds << " run " << res.run_seconds << " total "
+        << res.total_seconds;
+  }
+}
+
 TEST(EngineWorkloads, AutoPlacesTrajectoriesOnNoiseCapableBackend) {
   const Circuit c = make_rqc(2, 2, 6, 2);
   SimulationEngine eng;
