@@ -50,7 +50,12 @@ void BM_WarpReduce(benchmark::State& state) {
 BENCHMARK(BM_WarpReduce)->Arg(32)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 // The H/L kernel cost split on the emulator: one single-qubit gate applied
-// to a high (>= 5) or low (< 5) qubit of a 14-qubit device state.
+// to a high (>= 5) or low (< 5) qubit of a 14-qubit device state. apply_gate
+// only enqueues on the simulator's compute stream, so each iteration joins
+// the device to time the kernel itself. The other loops here launch on the
+// legacy default stream or copy synchronously, which run inline. The kernel
+// runs on other threads, so wall time (not this thread's CPU time) decides
+// the iteration count.
 void BM_ApplyGateHL(benchmark::State& state) {
   const qubit_t target = static_cast<qubit_t>(state.range(0));
   vgpu::Device dev{vgpu::mi250x_gcd()};
@@ -60,12 +65,13 @@ void BM_ApplyGateHL(benchmark::State& state) {
   const Gate g = gates::h(0, target);
   for (auto _ : state) {
     sim.apply_gate(g, s);
+    dev.synchronize();
   }
   state.SetLabel(target < hipsim::kLowBits ? "ApplyGateL_Kernel"
                                            : "ApplyGateH_Kernel");
 }
 BENCHMARK(BM_ApplyGateHL)->Arg(0)->Arg(3)->Arg(7)->Arg(12)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_DeviceMemcpyH2D(benchmark::State& state) {
   vgpu::Device dev{vgpu::mi250x_gcd()};

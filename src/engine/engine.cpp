@@ -345,7 +345,7 @@ std::uint64_t SimulationEngine::submit_job(Job&& job) {
   const std::uint64_t submit_us = job.submit_us;
   {
     std::lock_guard lk(metrics_mu_);
-    ++submitted_;
+    ++metrics_.submitted;
   }
   bool reject_now = false;
   std::string why;
@@ -477,9 +477,9 @@ std::uint64_t SimulationEngine::result_key(const SimRequest& req,
 void SimulationEngine::count_fault(SimErrorCode code) {
   std::lock_guard lk(metrics_mu_);
   switch (code) {
-    case SimErrorCode::kOutOfMemory: ++faults_oom_; break;
-    case SimErrorCode::kBackendFault: ++faults_backend_; break;
-    case SimErrorCode::kDeadlineExceeded: ++faults_deadline_; break;
+    case SimErrorCode::kOutOfMemory: ++metrics_.faults_oom; break;
+    case SimErrorCode::kBackendFault: ++metrics_.faults_backend; break;
+    case SimErrorCode::kDeadlineExceeded: ++metrics_.faults_deadline; break;
     default: break;
   }
 }
@@ -602,7 +602,7 @@ SimResult SimulationEngine::execute_with_retries(const SimRequest& q,
         }
         {
           std::lock_guard lk(metrics_mu_);
-          ++retries_;
+          ++metrics_.retries;
         }
         if (backoff > 0) {
           std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
@@ -680,7 +680,7 @@ void SimulationEngine::process(Job& job) {
       if (q.kind == RequestKind::kTrajectory) q.noise.channel.validate();
       if (q.kind == RequestKind::kExpectation) {
         std::lock_guard lk(metrics_mu_);
-        ++expectation_requests_;
+        ++metrics_.expectation_requests;
       }
       // One circuit hash per request, shared by the result key and (for
       // "auto") the plan-cache key — hashing the gate matrices is the most
@@ -741,7 +741,7 @@ void SimulationEngine::process(Job& job) {
             res.attempts = 0;
           } else {
             std::lock_guard mk(metrics_mu_);
-            ++coalesced_failures_;
+            ++metrics_.coalesced_failures;
           }
           served = true;
           break;
@@ -849,7 +849,7 @@ void SimulationEngine::process(Job& job) {
                                       deadline, job.corr, &attempts);
             fell_back = true;
             std::lock_guard lk(metrics_mu_);
-            ++fallbacks_;
+            ++metrics_.fallbacks;
           }
           const double queued = res.queue_seconds;
           res = std::move(ex);
@@ -990,7 +990,7 @@ void SimulationEngine::launch_trajectory_batch(
   }
   {
     std::lock_guard lk(metrics_mu_);
-    ++trajectory_batches_;
+    ++metrics_.trajectory_batches;
   }
 
   const unsigned fan = static_cast<unsigned>(
@@ -1165,9 +1165,9 @@ void SimulationEngine::finalize_trajectory_batch(TrajectoryBatch& b) {
       }
     }
     std::lock_guard lk(metrics_mu_);
-    trajectories_run_ += b.executed;
-    if (b.early_stopped) ++trajectory_early_stops_;
-    hist_trajectories_per_batch_.record(static_cast<double>(k));
+    metrics_.trajectories_run += b.executed;
+    if (b.early_stopped) ++metrics_.trajectory_early_stops;
+    metrics_.trajectories_per_batch.record(static_cast<double>(k));
   }
   span("trajectory", b.corr, b.run_start_us,
        static_cast<std::uint64_t>(res.run_seconds * 1e6),
@@ -1222,37 +1222,38 @@ void SimulationEngine::record_done(const SimResult& res) {
   {
     std::lock_guard lk(metrics_mu_);
     const auto exemplar = [&](const char* stage, double ms) {
-      auto& e = slowest_[stage];
+      auto& e = metrics_.exemplars[stage];
       if (ms > e.ms) {
         e.ms = ms;
         e.request_id = res.request_id;
       }
     };
     if (res.ok) {
-      ++completed_;
+      ++metrics_.completed;
       latency_res_.record(res.total_seconds * 1e3);
-      hist_queue_ms_.record(res.queue_seconds * 1e3);
-      hist_total_ms_.record(res.total_seconds * 1e3);
-      hist_result_bytes_.record(static_cast<double>(result_bytes));
+      metrics_.queue_ms.record(res.queue_seconds * 1e3);
+      metrics_.total_ms.record(res.total_seconds * 1e3);
+      metrics_.result_bytes.record(static_cast<double>(result_bytes));
       exemplar("queue", res.queue_seconds * 1e3);
       exemplar("total", res.total_seconds * 1e3);
       if (!res.result_cache_hit) {
         // Stage latencies and fusion width only exist for actual runs; a
         // cache hit would record misleading zeros.
-        hist_fuse_ms_.record(res.fuse_seconds * 1e3);
-        hist_execute_ms_.record(res.run_seconds * 1e3);
+        metrics_.fuse_ms.record(res.fuse_seconds * 1e3);
+        metrics_.execute_ms.record(res.run_seconds * 1e3);
         exemplar("fuse", res.fuse_seconds * 1e3);
         exemplar("execute", res.run_seconds * 1e3);
         if (res.sample_seconds > 0) {
-          hist_sample_ms_.record(res.sample_seconds * 1e3);
+          metrics_.sample_ms.record(res.sample_seconds * 1e3);
           exemplar("sample", res.sample_seconds * 1e3);
         }
-        hist_fused_gates_.record(static_cast<double>(res.fusion.output_gates));
+        metrics_.fused_gates.record(
+            static_cast<double>(res.fusion.output_gates));
       }
     } else {
-      ++rejected_;
+      ++metrics_.rejected;
     }
-    if (res.result_cache_hit) ++result_cache_hits_;
+    if (res.result_cache_hit) ++metrics_.result_cache_hits;
   }
 
   // Flight-recorder publication: this is what moves the request's pending
@@ -1295,16 +1296,10 @@ void SimulationEngine::record_done(const SimResult& res) {
       std::lock_guard lk(metrics_mu_);
       breach = watchdog_->observe(static_cast<int>(res.kind) + 1,
                                   res.total_seconds * 1e3, res.ok, now_us);
-      if (breach) ++slo_breaches_;
+      if (breach) ++metrics_.slo_breaches;
     }
-    if (breach) {
-      const std::string path = trigger_snapshot(breach->reason);
-      if (trace_ != nullptr) {
-        trace_->set_counter("engine/slo_breaches",
-                            static_cast<double>(watchdog_->breaches()));
-      }
-      (void)path;
-    }
+    // A written snapshot has already exported the new counts.
+    if (breach && trigger_snapshot(breach->reason).empty()) export_metrics();
   }
 }
 
@@ -1318,8 +1313,8 @@ std::string SimulationEngine::debug_text() const {
   if (watchdog_) {
     std::lock_guard lk(metrics_mu_);  // watchdog_ is driven under this lock
     out += watchdog_->status_text();
-    if (snapshots_written_ > 0) {
-      out += "  last snapshot: " + last_snapshot_path_ + "\n";
+    if (metrics_.snapshots_written > 0) {
+      out += "  last snapshot: " + metrics_.last_snapshot_path + "\n";
     }
   }
   return out;
@@ -1353,54 +1348,23 @@ std::string SimulationEngine::trigger_snapshot(const std::string& reason,
   } catch (const std::exception&) {
     return {};  // best-effort: a full disk must not take the engine down
   }
-  std::uint64_t written;
   {
     std::lock_guard lk(metrics_mu_);
-    written = ++snapshots_written_;
-    last_snapshot_path_ = trace_path;
+    ++metrics_.snapshots_written;
+    metrics_.last_snapshot_path = trace_path;
   }
-  if (trace_ != nullptr) {
-    trace_->set_counter("engine/snapshots_written",
-                        static_cast<double>(written));
-  }
+  export_metrics();
   return trace_path;
 }
 
 EngineMetrics SimulationEngine::metrics() const {
-  EngineMetrics m;
-  {
-    std::lock_guard lk(metrics_mu_);
-    m.submitted = submitted_;
-    m.completed = completed_;
-    m.rejected = rejected_;
-    m.result_cache_hits = result_cache_hits_;
-    m.retries = retries_;
-    m.fallbacks = fallbacks_;
-    m.coalesced_failures = coalesced_failures_;
-    m.faults_oom = faults_oom_;
-    m.faults_backend = faults_backend_;
-    m.faults_deadline = faults_deadline_;
-    m.expectation_requests = expectation_requests_;
-    m.trajectory_batches = trajectory_batches_;
-    m.trajectories_run = trajectories_run_;
-    m.trajectory_early_stops = trajectory_early_stops_;
-    m.trajectories_per_batch = hist_trajectories_per_batch_;
-    const std::vector<double> lat = latency_res_.sorted();
-    m.p50_ms = prof::percentile_sorted(lat, 0.50);
-    m.p95_ms = prof::percentile_sorted(lat, 0.95);
-    m.mean_ms = latency_res_.mean();
-    m.slo_breaches = slo_breaches_;
-    m.snapshots_written = snapshots_written_;
-    m.last_snapshot_path = last_snapshot_path_;
-    m.exemplars = slowest_;
-    m.queue_ms = hist_queue_ms_;
-    m.fuse_ms = hist_fuse_ms_;
-    m.execute_ms = hist_execute_ms_;
-    m.sample_ms = hist_sample_ms_;
-    m.total_ms = hist_total_ms_;
-    m.fused_gates = hist_fused_gates_;
-    m.result_bytes = hist_result_bytes_;
-  }
+  std::unique_lock lk(metrics_mu_);
+  EngineMetrics m = metrics_;
+  const std::vector<double> lat = latency_res_.sorted();
+  m.mean_ms = latency_res_.mean();
+  lk.unlock();
+  m.p50_ms = prof::percentile_sorted(lat, 0.50);
+  m.p95_ms = prof::percentile_sorted(lat, 0.95);
   m.fused_cache = fused_cache_.stats();
   if (planner_) {
     const PlannerStats ps = planner_->stats();
@@ -1413,7 +1377,7 @@ EngineMetrics SimulationEngine::metrics() const {
     m.planner_calibration = ps.calibration;
   }
   {
-    std::lock_guard lk(backends_mu_);
+    std::lock_guard blk(backends_mu_);
     m.backends_created = backends_.size();
     for (const auto& [key, slot] : backends_) {
       const PoolStats ps = slot->backend->pool_stats();
@@ -1429,9 +1393,127 @@ EngineMetrics SimulationEngine::metrics() const {
 
 namespace {
 
-// Trims the trailing zeros strfmt("%g") would not produce; bucket bounds
-// like 0.08 and 81.92 stay short and stable across platforms.
-std::string bound_label(double b) { return strfmt("%g", b); }
+template <auto Field>
+double field(const EngineMetrics& m) {
+  return static_cast<double>(m.*Field);
+}
+
+template <auto Field>
+double fused_cache_field(const EngineMetrics& m) {
+  return static_cast<double>(m.fused_cache.*Field);
+}
+
+constexpr MetricRow kMetricRows[] = {
+    {"requests_submitted", "Requests submitted", "counter",
+     field<&EngineMetrics::submitted>},
+    {"requests_completed", "Requests served ok", "counter",
+     field<&EngineMetrics::completed>},
+    {"requests_rejected", "Requests failed or rejected", "counter",
+     field<&EngineMetrics::rejected>},
+    {"result_cache_hits",
+     "Requests served from the result cache or a coalesced flight", "counter",
+     field<&EngineMetrics::result_cache_hits>},
+    {"retries", "Backend run retries", "counter",
+     field<&EngineMetrics::retries>},
+    {"fallbacks", "Requests degraded to the fallback backend", "counter",
+     field<&EngineMetrics::fallbacks>},
+    {"coalesced_failures", "Waiters served a propagated failure", "counter",
+     field<&EngineMetrics::coalesced_failures>},
+    {"faults_oom", "Out-of-memory attempt failures", "counter",
+     field<&EngineMetrics::faults_oom>},
+    {"faults_backend", "Device-fault attempt failures", "counter",
+     field<&EngineMetrics::faults_backend>},
+    {"faults_deadline", "Deadline expiries", "counter",
+     field<&EngineMetrics::faults_deadline>},
+    {"expectation_requests", "Expectation-kind requests admitted", "counter",
+     field<&EngineMetrics::expectation_requests>},
+    {"trajectory_batches", "Trajectory batches launched", "counter",
+     field<&EngineMetrics::trajectory_batches>},
+    {"trajectories_run",
+     "Individual trajectories executed (including any discarded past an "
+     "early stop)",
+     "counter", field<&EngineMetrics::trajectories_run>},
+    {"trajectory_early_stops", "Trajectory batches stopped early by tolerance",
+     "counter", field<&EngineMetrics::trajectory_early_stops>},
+    {"fused_cache_hit_rate", "Fused-circuit cache hit rate", "gauge",
+     [](const EngineMetrics& m) { return m.fused_cache.hit_rate(); }},
+    {"fused_cache_hits", "Fused-circuit cache hits", "counter",
+     fused_cache_field<&FusedCacheStats::hits>},
+    {"fused_cache_misses", "Fused-circuit cache misses (circuits fused)",
+     "counter", fused_cache_field<&FusedCacheStats::misses>},
+    {"fused_cache_evictions", "Fused circuits evicted from the cache",
+     "counter", fused_cache_field<&FusedCacheStats::evictions>},
+    {"fused_cache_entries", "Fused circuits cached", "gauge",
+     fused_cache_field<&FusedCacheStats::entries>},
+    {"fused_cache_bytes", "Matrix bytes of the cached fused circuits", "gauge",
+     fused_cache_field<&FusedCacheStats::approx_bytes>},
+    {"pool_hits", "State-buffer pool hits", "counter",
+     field<&EngineMetrics::pool_hits>},
+    {"pool_misses", "State-buffer pool misses", "counter",
+     field<&EngineMetrics::pool_misses>},
+    {"pool_discarded", "State buffers dropped by the pools", "counter",
+     field<&EngineMetrics::pool_discarded>},
+    {"bytes_pooled", "Bytes parked in pools", "gauge",
+     field<&EngineMetrics::bytes_pooled>},
+    {"buffers_pooled", "Buffers parked in pools", "gauge",
+     field<&EngineMetrics::buffers_pooled>},
+    {"backends_created", "Live backend instances", "gauge",
+     field<&EngineMetrics::backends_created>},
+    {"latency_p50_ms", "Median completion latency over the recent reservoir",
+     "gauge", field<&EngineMetrics::p50_ms>},
+    {"latency_p95_ms", "p95 completion latency over the recent reservoir",
+     "gauge", field<&EngineMetrics::p95_ms>},
+    {"latency_mean_ms", "Mean completion latency over the recent reservoir",
+     "gauge", field<&EngineMetrics::mean_ms>},
+    {"planner/decisions", "Auto-placement decisions made", "counter",
+     field<&EngineMetrics::planner_decisions>},
+    {"planner/calibrated_decisions",
+     "Decisions that used a learned calibration factor", "counter",
+     field<&EngineMetrics::planner_calibrated_decisions>},
+    {"planner/observations", "Calibration observations recorded", "counter",
+     field<&EngineMetrics::planner_observations>},
+    {"planner/predicted_seconds_total",
+     "Calibrated predicted seconds over planner decisions", "counter",
+     field<&EngineMetrics::planner_predicted_seconds>},
+    {"planner/observed_seconds_total",
+     "Observed execute seconds fed to calibration", "counter",
+     field<&EngineMetrics::planner_observed_seconds>},
+    {"slo_breaches",
+     "SLO watchdog breaches (each one armed a snapshot trigger)", "counter",
+     field<&EngineMetrics::slo_breaches>},
+    {"snapshots_written",
+     "Flight-recorder snapshots written to the snapshot dir", "counter",
+     field<&EngineMetrics::snapshots_written>},
+};
+
+constexpr char kStageHelp[] = "Per-stage request latency";
+
+constexpr HistogramRow kHistogramRows[] = {
+    {"queue_ms", "queue", kStageHelp, &EngineMetrics::queue_ms},
+    {"fuse_ms", "fuse", kStageHelp, &EngineMetrics::fuse_ms},
+    {"execute_ms", "execute", kStageHelp, &EngineMetrics::execute_ms},
+    {"sample_ms", "sample", kStageHelp, &EngineMetrics::sample_ms},
+    {"total_ms", "total", kStageHelp, &EngineMetrics::total_ms},
+    {"fused_gates", nullptr, "Fused gates per executed request",
+     &EngineMetrics::fused_gates},
+    {"result_bytes", nullptr, "Result payload bytes per request",
+     &EngineMetrics::result_bytes},
+    {"trajectories_per_batch", nullptr,
+     "Accumulated trajectories per served batch",
+     &EngineMetrics::trajectories_per_batch},
+};
+
+std::string prom_family(const char* name) {
+  std::string out = std::string("qhip_engine_") + name;
+  std::replace(out.begin(), out.end(), '/', '_');
+  return out;
+}
+
+void prom_header(std::string& out, const std::string& family, const char* help,
+                 const char* type) {
+  out += strfmt("# HELP %s %s\n# TYPE %s %s\n", family.c_str(), help,
+                family.c_str(), type);
+}
 
 // One histogram as Prometheus exposition text: cumulative le buckets
 // (including +Inf), then _sum and _count. `labels` is the inner label set
@@ -1440,107 +1522,36 @@ void prom_histogram(std::string& out, const std::string& family,
                     const std::string& labels, const prof::Histogram& h) {
   std::uint64_t cum = 0;
   const std::string sep = labels.empty() ? "" : ",";
-  for (std::size_t i = 0; i < h.num_buckets(); ++i) {
+  for (std::size_t i = 0; i <= h.num_buckets(); ++i) {
     cum += h.bucket_count(i);
+    const std::string le =
+        i < h.num_buckets() ? strfmt("%g", h.upper_bound(i)) : "+Inf";
     out += strfmt("%s_bucket{%s%sle=\"%s\"} %llu\n", family.c_str(),
-                  labels.c_str(), sep.c_str(),
-                  bound_label(h.upper_bound(i)).c_str(),
+                  labels.c_str(), sep.c_str(), le.c_str(),
                   static_cast<unsigned long long>(cum));
   }
-  cum += h.bucket_count(h.num_buckets());
-  out += strfmt("%s_bucket{%s%sle=\"+Inf\"} %llu\n", family.c_str(),
-                labels.c_str(), sep.c_str(),
-                static_cast<unsigned long long>(cum));
   const std::string brace = labels.empty() ? "" : "{" + labels + "}";
   out += strfmt("%s_sum%s %.9g\n", family.c_str(), brace.c_str(), h.sum());
   out += strfmt("%s_count%s %llu\n", family.c_str(), brace.c_str(),
                 static_cast<unsigned long long>(h.count()));
 }
 
-void prom_counter(std::string& out, const char* name, const char* help,
-                  const char* type, double v) {
-  out += strfmt("# HELP %s %s\n# TYPE %s %s\n%s %.9g\n", name, help, name,
-                type, name, v);
-}
-
 }  // namespace
+
+std::span<const MetricRow> metric_rows() { return kMetricRows; }
+std::span<const HistogramRow> histogram_rows() { return kHistogramRows; }
 
 std::string EngineMetrics::to_prom_text() const {
   std::string out;
   out.reserve(4096);
-  prom_counter(out, "qhip_engine_requests_submitted", "Requests submitted",
-               "counter", static_cast<double>(submitted));
-  prom_counter(out, "qhip_engine_requests_completed", "Requests served ok",
-               "counter", static_cast<double>(completed));
-  prom_counter(out, "qhip_engine_requests_rejected",
-               "Requests failed or rejected", "counter",
-               static_cast<double>(rejected));
-  prom_counter(out, "qhip_engine_result_cache_hits",
-               "Requests served from the result cache or a coalesced flight",
-               "counter", static_cast<double>(result_cache_hits));
-  prom_counter(out, "qhip_engine_retries", "Backend run retries", "counter",
-               static_cast<double>(retries));
-  prom_counter(out, "qhip_engine_fallbacks",
-               "Requests degraded to the fallback backend", "counter",
-               static_cast<double>(fallbacks));
-  prom_counter(out, "qhip_engine_coalesced_failures",
-               "Waiters served a propagated failure", "counter",
-               static_cast<double>(coalesced_failures));
-  prom_counter(out, "qhip_engine_faults_oom", "Out-of-memory attempt failures",
-               "counter", static_cast<double>(faults_oom));
-  prom_counter(out, "qhip_engine_faults_backend",
-               "Device-fault attempt failures", "counter",
-               static_cast<double>(faults_backend));
-  prom_counter(out, "qhip_engine_faults_deadline", "Deadline expiries",
-               "counter", static_cast<double>(faults_deadline));
-  prom_counter(out, "qhip_engine_expectation_requests",
-               "Expectation-kind requests admitted", "counter",
-               static_cast<double>(expectation_requests));
-  prom_counter(out, "qhip_engine_trajectory_batches",
-               "Trajectory batches launched", "counter",
-               static_cast<double>(trajectory_batches));
-  prom_counter(out, "qhip_engine_trajectories_run",
-               "Individual trajectories executed (including any discarded "
-               "past an early stop)",
-               "counter", static_cast<double>(trajectories_run));
-  prom_counter(out, "qhip_engine_trajectory_early_stops",
-               "Trajectory batches stopped early by tolerance", "counter",
-               static_cast<double>(trajectory_early_stops));
-  prom_counter(out, "qhip_engine_fused_cache_hit_rate",
-               "Fused-circuit cache hit rate", "gauge",
-               fused_cache.hit_rate());
-  prom_counter(out, "qhip_engine_pool_hits", "State-buffer pool hits",
-               "counter", static_cast<double>(pool_hits));
-  prom_counter(out, "qhip_engine_pool_misses", "State-buffer pool misses",
-               "counter", static_cast<double>(pool_misses));
-  prom_counter(out, "qhip_engine_pool_discarded",
-               "State buffers dropped by the pools", "counter",
-               static_cast<double>(pool_discarded));
-  prom_counter(out, "qhip_engine_bytes_pooled", "Bytes parked in pools",
-               "gauge", static_cast<double>(bytes_pooled));
-  prom_counter(out, "qhip_engine_buffers_pooled", "Buffers parked in pools",
-               "gauge", static_cast<double>(buffers_pooled));
-  prom_counter(out, "qhip_engine_backends_created", "Live backend instances",
-               "gauge", static_cast<double>(backends_created));
-
-  prom_counter(out, "qhip_engine_planner_decisions",
-               "Auto-placement decisions made", "counter",
-               static_cast<double>(planner_decisions));
-  prom_counter(out, "qhip_engine_planner_calibrated_decisions",
-               "Decisions that used a learned calibration factor", "counter",
-               static_cast<double>(planner_calibrated_decisions));
-  prom_counter(out, "qhip_engine_planner_observations",
-               "Calibration observations recorded", "counter",
-               static_cast<double>(planner_observations));
-  prom_counter(out, "qhip_engine_planner_predicted_seconds_total",
-               "Calibrated predicted seconds over planner decisions",
-               "counter", planner_predicted_seconds);
-  prom_counter(out, "qhip_engine_planner_observed_seconds_total",
-               "Observed execute seconds fed to calibration", "counter",
-               planner_observed_seconds);
+  for (const MetricRow& r : kMetricRows) {
+    const std::string family = prom_family(r.name);
+    prom_header(out, family, r.help, r.type);
+    out += strfmt("%s %.9g\n", family.c_str(), r.read(*this));
+  }
   if (!planner_chosen.empty()) {
-    out += "# HELP qhip_engine_planner_chosen Auto placements by backend\n";
-    out += "# TYPE qhip_engine_planner_chosen counter\n";
+    prom_header(out, "qhip_engine_planner_chosen", "Auto placements by backend",
+                "counter");
     for (const auto& [spec, n] : planner_chosen) {
       out += strfmt("qhip_engine_planner_chosen{backend=\"%s\"} %llu\n",
                     prof::prom_escape_label(spec).c_str(),
@@ -1548,61 +1559,51 @@ std::string EngineMetrics::to_prom_text() const {
     }
   }
   if (!planner_calibration.empty()) {
-    out += "# HELP qhip_engine_planner_calibration "
-           "EWMA observed/predicted ratio per backend and qubit bucket\n";
-    out += "# TYPE qhip_engine_planner_calibration gauge\n";
+    prom_header(out, "qhip_engine_planner_calibration",
+                "EWMA observed/predicted ratio per backend, qubit bucket and "
+                "fusion width",
+                "gauge");
     for (const auto& [key, f] : planner_calibration) {
-      // Keys are "spec/q<bucket>" (Planner::stats()).
-      const std::size_t slash = key.rfind('/');
-      const std::string spec = key.substr(0, slash);
-      const std::string bucket =
-          slash == std::string::npos ? "" : key.substr(slash + 1);
+      // Keys are "spec/q<bucket>" (the bucket-wide factor, fused="all") or
+      // "spec/q<bucket>/f<width>" (Planner::stats()).
+      const std::size_t q = key.rfind("/q");
+      const std::string spec = key.substr(0, q);
+      std::string bucket = q == std::string::npos ? "" : key.substr(q + 1);
+      std::string fused = "all";
+      if (const std::size_t f = bucket.find("/f"); f != std::string::npos) {
+        fused = bucket.substr(f + 2);
+        bucket.resize(f);
+      }
       out += strfmt(
-          "qhip_engine_planner_calibration{backend=\"%s\",bucket=\"%s\"} "
-          "%.9g\n",
+          "qhip_engine_planner_calibration{backend=\"%s\",bucket=\"%s\","
+          "fused=\"%s\"} %.9g\n",
           prof::prom_escape_label(spec).c_str(),
-          prof::prom_escape_label(bucket).c_str(), f);
+          prof::prom_escape_label(bucket).c_str(),
+          prof::prom_escape_label(fused).c_str(), f);
     }
   }
-
-  prom_counter(out, "qhip_engine_slo_breaches",
-               "SLO watchdog breaches (each one armed a snapshot trigger)",
-               "counter", static_cast<double>(slo_breaches));
-  prom_counter(out, "qhip_engine_snapshots_written",
-               "Flight-recorder snapshots written to the snapshot dir",
-               "counter", static_cast<double>(snapshots_written));
-
-  out += "# HELP qhip_engine_stage_latency_ms Per-stage request latency\n";
-  out += "# TYPE qhip_engine_stage_latency_ms histogram\n";
-  const std::pair<const char*, const prof::Histogram*> stages[] = {
-      {"queue", &queue_ms},   {"fuse", &fuse_ms}, {"execute", &execute_ms},
-      {"sample", &sample_ms}, {"total", &total_ms}};
-  for (const auto& [stage, h] : stages) {
-    prom_histogram(out, "qhip_engine_stage_latency_ms",
-                   strfmt("stage=\"%s\"", stage), *h);
+  std::string prev_family;
+  for (const HistogramRow& r : kHistogramRows) {
+    const std::string family =
+        prom_family(r.stage != nullptr ? "stage_latency_ms" : r.name);
+    if (family != prev_family) prom_header(out, family, r.help, "histogram");
+    prev_family = family;
+    prom_histogram(out, family,
+                   r.stage != nullptr ? strfmt("stage=\"%s\"", r.stage) : "",
+                   this->*r.hist);
     // Exemplar-style annotation: text-format 0.0.4 has no native exemplars,
-    // so the slowest request behind each stage family rides along as a
+    // so the slowest request behind each stage series rides along as a
     // comment line scrapers ignore and humans grep (corr resolves in
     // /debug/requests or any flight-recorder snapshot).
-    if (const auto it = exemplars.find(stage); it != exemplars.end()) {
+    if (r.stage == nullptr) continue;
+    if (const auto it = exemplars.find(r.stage); it != exemplars.end()) {
       out += strfmt(
-          "# EXEMPLAR qhip_engine_stage_latency_ms{stage=\"%s\"} corr=%llu "
-          "value_ms=%.9g\n",
-          stage, static_cast<unsigned long long>(it->second.request_id),
+          "# EXEMPLAR %s{stage=\"%s\"} corr=%llu value_ms=%.9g\n",
+          family.c_str(), r.stage,
+          static_cast<unsigned long long>(it->second.request_id),
           it->second.ms);
     }
   }
-  out += "# HELP qhip_engine_fused_gates Fused gates per executed request\n";
-  out += "# TYPE qhip_engine_fused_gates histogram\n";
-  prom_histogram(out, "qhip_engine_fused_gates", "", fused_gates);
-  out += "# HELP qhip_engine_result_bytes Result payload bytes per request\n";
-  out += "# TYPE qhip_engine_result_bytes histogram\n";
-  prom_histogram(out, "qhip_engine_result_bytes", "", result_bytes);
-  out += "# HELP qhip_engine_trajectories_per_batch "
-         "Accumulated trajectories per served batch\n";
-  out += "# TYPE qhip_engine_trajectories_per_batch histogram\n";
-  prom_histogram(out, "qhip_engine_trajectories_per_batch", "",
-                 trajectories_per_batch);
   return out;
 }
 
@@ -1610,54 +1611,9 @@ void SimulationEngine::export_metrics() const {
   if (opt_.tracer == nullptr) return;
   const EngineMetrics m = metrics();
   Tracer& t = *opt_.tracer;
-  t.set_counter("engine/requests_submitted", static_cast<double>(m.submitted));
-  t.set_counter("engine/requests_completed", static_cast<double>(m.completed));
-  t.set_counter("engine/requests_rejected", static_cast<double>(m.rejected));
-  t.set_counter("engine/result_cache_hits",
-                static_cast<double>(m.result_cache_hits));
-  t.set_counter("engine/retries", static_cast<double>(m.retries));
-  t.set_counter("engine/fallbacks", static_cast<double>(m.fallbacks));
-  t.set_counter("engine/coalesced_failures",
-                static_cast<double>(m.coalesced_failures));
-  t.set_counter("engine/faults_oom", static_cast<double>(m.faults_oom));
-  t.set_counter("engine/faults_backend", static_cast<double>(m.faults_backend));
-  t.set_counter("engine/faults_deadline",
-                static_cast<double>(m.faults_deadline));
-  t.set_counter("engine/expectation_requests",
-                static_cast<double>(m.expectation_requests));
-  t.set_counter("engine/trajectory_batches",
-                static_cast<double>(m.trajectory_batches));
-  t.set_counter("engine/trajectories_run",
-                static_cast<double>(m.trajectories_run));
-  t.set_counter("engine/trajectory_early_stops",
-                static_cast<double>(m.trajectory_early_stops));
-  t.set_counter("engine/fused_cache_hit_rate", m.fused_cache.hit_rate());
-  t.set_counter("engine/fused_cache_entries",
-                static_cast<double>(m.fused_cache.entries));
-  t.set_counter("engine/fused_cache_bytes",
-                static_cast<double>(m.fused_cache.approx_bytes));
-  t.set_counter("engine/pool_hits", static_cast<double>(m.pool_hits));
-  t.set_counter("engine/pool_misses", static_cast<double>(m.pool_misses));
-  t.set_counter("engine/pool_discarded", static_cast<double>(m.pool_discarded));
-  t.set_counter("engine/bytes_pooled", static_cast<double>(m.bytes_pooled));
-  t.set_counter("engine/buffers_pooled", static_cast<double>(m.buffers_pooled));
-  t.set_counter("engine/backends_created",
-                static_cast<double>(m.backends_created));
-  t.set_counter("engine/latency_p50_ms", m.p50_ms);
-  t.set_counter("engine/latency_p95_ms", m.p95_ms);
-  t.set_counter("engine/latency_mean_ms", m.mean_ms);
-  t.set_counter("engine/slo_breaches", static_cast<double>(m.slo_breaches));
-  t.set_counter("engine/snapshots_written",
-                static_cast<double>(m.snapshots_written));
-  t.set_counter("engine/planner/decisions",
-                static_cast<double>(m.planner_decisions));
-  t.set_counter("engine/planner/calibrated_decisions",
-                static_cast<double>(m.planner_calibrated_decisions));
-  t.set_counter("engine/planner/observations",
-                static_cast<double>(m.planner_observations));
-  t.set_counter("engine/planner/predicted_seconds",
-                m.planner_predicted_seconds);
-  t.set_counter("engine/planner/observed_seconds", m.planner_observed_seconds);
+  for (const MetricRow& r : kMetricRows) {
+    t.set_counter(std::string("engine/") + r.name, r.read(m));
+  }
   for (const auto& [spec, n] : m.planner_chosen) {
     t.set_counter("engine/planner/chosen/" + spec, static_cast<double>(n));
   }
@@ -1666,20 +1622,15 @@ void SimulationEngine::export_metrics() const {
   }
   // Histogram buckets, one counter per non-empty bucket so the trace JSON
   // carries the full distributions next to the kernel timeline.
-  const std::pair<const char*, const prof::Histogram*> hists[] = {
-      {"queue_ms", &m.queue_ms},       {"fuse_ms", &m.fuse_ms},
-      {"execute_ms", &m.execute_ms},   {"sample_ms", &m.sample_ms},
-      {"total_ms", &m.total_ms},       {"fused_gates", &m.fused_gates},
-      {"result_bytes", &m.result_bytes},
-      {"trajectories_per_batch", &m.trajectories_per_batch}};
-  for (const auto& [name, h] : hists) {
-    for (std::size_t i = 0; i <= h->num_buckets(); ++i) {
-      if (h->bucket_count(i) == 0) continue;
-      const std::string le = i < h->num_buckets()
-                                 ? strfmt("%g", h->upper_bound(i))
+  for (const HistogramRow& r : kHistogramRows) {
+    const prof::Histogram& h = m.*r.hist;
+    for (std::size_t i = 0; i <= h.num_buckets(); ++i) {
+      if (h.bucket_count(i) == 0) continue;
+      const std::string le = i < h.num_buckets()
+                                 ? strfmt("%g", h.upper_bound(i))
                                  : std::string("inf");
-      t.set_counter(strfmt("engine/hist/%s/le_%s", name, le.c_str()),
-                    static_cast<double>(h->bucket_count(i)));
+      t.set_counter(strfmt("engine/hist/%s/le_%s", r.name, le.c_str()),
+                    static_cast<double>(h.bucket_count(i)));
     }
   }
 }

@@ -35,8 +35,9 @@
 //
 // Engine metrics (request counts, cache hit rates, latency percentiles over
 // a bounded reservoir, pooled bytes, retry/fallback/fault counters, planner
-// decisions and calibration factors) export as counters into the same
-// prof/trace JSON as the kernel timeline via export_metrics().
+// decisions and calibration factors) are declared once, in metric_rows()
+// and histogram_rows(); to_prom_text() and export_metrics() both loop over
+// those rows.
 #pragma once
 
 #include <atomic>
@@ -48,6 +49,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -236,6 +238,9 @@ struct EngineOptions {
   std::string snapshot_dir;
 };
 
+// A plain snapshot of the engine's metrics. Each exported value is one row of
+// metric_rows() or histogram_rows() below; docs/OBSERVABILITY.md lists every
+// row with its Prometheus and trace names.
 struct EngineMetrics {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;  // ok results
@@ -307,11 +312,34 @@ struct EngineMetrics {
   };
   std::map<std::string, StageExemplar> exemplars;
 
-  // Prometheus text exposition (version 0.0.4): counters, gauges and the
-  // histograms above as qhip_engine_* families, ready for a /metrics scrape
-  // or `qsim_base_hip --prom` (field reference in docs/OBSERVABILITY.md).
+  // Prometheus text exposition (version 0.0.4): every metric_rows() and
+  // histogram_rows() row as a qhip_engine_* family, plus the labelled planner
+  // maps, ready for a /metrics scrape or `qsim_base_hip --prom`.
   std::string to_prom_text() const;
 };
+
+// One declared engine metric. The Prometheus family is "qhip_engine_" + name
+// with '/' replaced by '_'; the trace counter is "engine/" + name.
+struct MetricRow {
+  const char* name;
+  const char* help;
+  const char* type;  // "counter" or "gauge"
+  double (*read)(const EngineMetrics&);
+};
+
+// One declared histogram. A row with a stage is one series of the shared
+// qhip_engine_stage_latency_ms{stage=...} family; a row without one is its
+// own qhip_engine_<name> family. Either way the trace carries each non-empty
+// bucket as the counter engine/hist/<name>/le_<bound>.
+struct HistogramRow {
+  const char* name;
+  const char* stage;  // nullptr: own family
+  const char* help;
+  prof::Histogram EngineMetrics::*hist;
+};
+
+std::span<const MetricRow> metric_rows();
+std::span<const HistogramRow> histogram_rows();
 
 // Exact identity of a request's result: every field that affects the
 // simulation output, including the full per-gate circuit content (matrices
@@ -512,34 +540,14 @@ class SimulationEngine {
       result_index_;
   std::map<std::uint64_t, std::shared_ptr<Flight>> in_flight_;
 
+  // The engine's own counters, histograms, exemplars and snapshot state;
+  // metrics() copies it and adds the derived parts (latency percentiles,
+  // fused cache, planner, pools).
   mutable std::mutex metrics_mu_;
-  std::uint64_t submitted_ = 0, completed_ = 0, rejected_ = 0;
-  std::uint64_t result_cache_hits_ = 0;
-  std::uint64_t retries_ = 0, fallbacks_ = 0, coalesced_failures_ = 0;
-  std::uint64_t faults_oom_ = 0, faults_backend_ = 0, faults_deadline_ = 0;
+  EngineMetrics metrics_;
   // Completion latencies, fixed-capacity ring (opt_.latency_window);
   // re-seated to the configured capacity in the constructor.
   prof::LatencyReservoir latency_res_{0};
-  // Per-stage distributions over all ok results (guarded by metrics_mu_).
-  prof::Histogram hist_queue_ms_ = prof::latency_ms_histogram();
-  prof::Histogram hist_fuse_ms_ = prof::latency_ms_histogram();
-  prof::Histogram hist_execute_ms_ = prof::latency_ms_histogram();
-  prof::Histogram hist_sample_ms_ = prof::latency_ms_histogram();
-  prof::Histogram hist_total_ms_ = prof::latency_ms_histogram();
-  prof::Histogram hist_fused_gates_ = prof::count_histogram();
-  prof::Histogram hist_result_bytes_ = prof::bytes_histogram();
-  // Workload-kind counters (guarded by metrics_mu_).
-  std::uint64_t expectation_requests_ = 0;
-  std::uint64_t trajectory_batches_ = 0;
-  std::uint64_t trajectories_run_ = 0;
-  std::uint64_t trajectory_early_stops_ = 0;
-  prof::Histogram hist_trajectories_per_batch_ = prof::count_histogram();
-  // Watchdog/snapshot bookkeeping and per-stage slowest-request exemplars
-  // (guarded by metrics_mu_).
-  std::uint64_t slo_breaches_ = 0;
-  std::uint64_t snapshots_written_ = 0;
-  std::string last_snapshot_path_;
-  std::map<std::string, EngineMetrics::StageExemplar> slowest_;
 };
 
 }  // namespace qhip::engine

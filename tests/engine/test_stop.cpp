@@ -70,7 +70,7 @@ TEST(EngineStop, CompletesCoalescedTrajectoryWaitersAcrossStop) {
   // Outcomes may legitimately differ — the duplicate can still be queued
   // (drained to kRejected) while the in-flight batch finishes ok. What must
   // hold is that BOTH resolve, each with ok or a structured rejection.
-  for (const SimResult res : {first.get(), second.get()}) {
+  for (const SimResult& res : {first.get(), second.get()}) {
     if (!res.ok) {
       EXPECT_EQ(res.code, SimErrorCode::kRejected) << res.error;
       EXPECT_FALSE(res.error.empty());

@@ -6,19 +6,24 @@
 // The second half audits the whole scrape against text-format 0.0.4: every
 // family announced by # HELP/# TYPE exactly once, every sample belonging to
 // an announced family, and histogram _bucket/_sum/_count internally
-// consistent (cumulative buckets, +Inf == _count).
+// consistent (cumulative buckets, +Inf == _count). The last tests check that
+// every declared engine metric reads the same in the scrape and in the trace.
 #include "src/prof/prom.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/base/strings.h"
 #include "src/engine/engine.h"
+#include "src/obs/observable.h"
+#include "src/prof/trace.h"
 #include "src/rqc/rqc.h"
 
 namespace qhip::prof {
@@ -291,6 +296,158 @@ TEST(PromFormat, LiveEngineScrapePassesTheValidator) {
     ASSERT_TRUE(r.ok) << r.error;
   }
   validate_prom_text(eng.metrics().to_prom_text());
+}
+
+// Planner::stats() reports both the bucket-wide factor ("spec/q<b>") and the
+// per-fusion-width one ("spec/q<b>/f<w>"). Both must scrape with the bare
+// spec as backend, the bucket as bucket, and the width (or "all") as fused.
+TEST(PromFormat, CalibrationLabelsSplitBackendBucketAndFusion) {
+  rqc::RqcOptions ropt;
+  ropt.rows = 2;
+  ropt.cols = 2;
+  ropt.depth = 6;
+  ropt.seed = 3;
+  engine::EngineOptions opt;
+  opt.num_workers = 1;
+  opt.planner_candidates = {"cpu"};
+  engine::SimulationEngine eng(opt);
+  engine::SimRequest req;
+  req.circuit = rqc::generate_rqc(ropt);
+  req.backend = "auto";
+  req.num_samples = 4;
+  ASSERT_TRUE(eng.run(req).ok);
+
+  const std::string text = eng.metrics().to_prom_text();
+  const std::string family = "qhip_engine_planner_calibration{";
+  int series = 0;
+  bool saw_all = false;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(family, 0) != 0) continue;
+    ++series;
+    const std::size_t b = line.find("backend=\"");
+    ASSERT_NE(b, std::string::npos) << line;
+    const std::string backend =
+        line.substr(b + 9, line.find('"', b + 9) - (b + 9));
+    EXPECT_EQ(backend.find('/'), std::string::npos) << line;
+    EXPECT_NE(line.find("bucket=\"q"), std::string::npos) << line;
+    EXPECT_NE(line.find("fused=\""), std::string::npos) << line;
+    if (line.find("fused=\"all\"") != std::string::npos) saw_all = true;
+  }
+  EXPECT_GE(series, 2) << text;
+  EXPECT_TRUE(saw_all) << text;
+}
+
+// Sample lines of a scrape keyed by name plus labels ("family{...}").
+std::map<std::string, double> prom_samples(const std::string& text) {
+  std::map<std::string, double> out;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t sp = line.rfind(' ');
+    out[line.substr(0, sp)] = std::strtod(line.c_str() + sp + 1, nullptr);
+  }
+  return out;
+}
+
+// Both export surfaces loop over the same declared rows, so every row must
+// read the same value in the Prometheus scrape and in the trace counters.
+TEST(PromFormat, ScrapeAndTraceAgreeOnEveryDeclaredMetric) {
+  rqc::RqcOptions ropt;
+  ropt.rows = 2;
+  ropt.cols = 2;
+  ropt.depth = 6;
+  ropt.seed = 5;
+  const Circuit circuit = rqc::generate_rqc(ropt);
+
+  Tracer tracer;
+  engine::EngineOptions opt;
+  opt.num_workers = 2;
+  opt.planner_candidates = {"cpu"};
+  opt.tracer = &tracer;
+  engine::SimulationEngine eng(opt);
+
+  engine::SimRequest req;
+  req.circuit = circuit;
+  req.num_samples = 8;
+  ASSERT_TRUE(eng.run(req).ok);
+  const engine::SimResult hit = eng.run(req);
+  ASSERT_TRUE(hit.ok);
+  EXPECT_TRUE(hit.result_cache_hit);
+
+  engine::SimRequest expect = req;
+  expect.kind = engine::RequestKind::kExpectation;
+  expect.num_samples = 0;
+  expect.observable.strings.push_back(
+      obs::PauliString{1.0, {{0, obs::Pauli::kZ}}});
+  ASSERT_TRUE(eng.run(expect).ok);
+
+  engine::SimRequest traj = req;
+  traj.kind = engine::RequestKind::kTrajectory;
+  traj.num_samples = 0;
+  traj.precision = Precision::kDouble;
+  traj.noise = noise::NoiseModel{noise::depolarizing(0.05)};
+  traj.num_trajectories = 4;
+  ASSERT_TRUE(eng.run(traj).ok);
+
+  engine::SimRequest planned = req;
+  planned.backend = "auto";
+  planned.seed = 2;
+  ASSERT_TRUE(eng.run(planned).ok);
+
+  eng.export_metrics();
+  const std::map<std::string, double> trace = tracer.counters();
+  const std::string text = eng.metrics().to_prom_text();
+  validate_prom_text(text);
+  const std::map<std::string, double> scrape = prom_samples(text);
+
+  for (const engine::MetricRow& r : engine::metric_rows()) {
+    std::string family = std::string("qhip_engine_") + r.name;
+    for (char& c : family) c = c == '/' ? '_' : c;
+    const std::string counter = std::string("engine/") + r.name;
+    ASSERT_EQ(scrape.count(family), 1u) << family;
+    ASSERT_EQ(trace.count(counter), 1u) << counter;
+    EXPECT_NEAR(scrape.at(family), trace.at(counter),
+                1e-8 * std::abs(trace.at(counter)))
+        << r.name;
+    EXPECT_NE(text.find("# TYPE " + family + " " + r.type + "\n"),
+              std::string::npos)
+        << family;
+  }
+
+  // Bucket bounds come from an empty EngineMetrics; the trace counts each
+  // bucket on its own, the scrape cumulatively.
+  const engine::EngineMetrics empty;
+  int stage_rows = 0;
+  for (const engine::HistogramRow& r : engine::histogram_rows()) {
+    const Histogram& shape = empty.*r.hist;
+    const std::string series =
+        r.stage != nullptr
+            ? "qhip_engine_stage_latency_ms_bucket{stage=\"" +
+                  std::string(r.stage) + "\","
+            : "qhip_engine_" + std::string(r.name) + "_bucket{";
+    stage_rows += r.stage != nullptr;
+    double prev = 0;
+    for (std::size_t i = 0; i <= shape.num_buckets(); ++i) {
+      const bool inf = i == shape.num_buckets();
+      const std::string le = inf ? "+Inf" : strfmt("%g", shape.upper_bound(i));
+      const std::string key = series + "le=\"" + le + "\"}";
+      ASSERT_EQ(scrape.count(key), 1u) << key;
+      const double in_bucket = scrape.at(key) - prev;
+      prev = scrape.at(key);
+      const auto it = trace.find(strfmt("engine/hist/%s/le_%s", r.name,
+                                        inf ? "inf" : le.c_str()));
+      EXPECT_EQ(it == trace.end() ? 0.0 : it->second, in_bucket) << key;
+    }
+  }
+  EXPECT_EQ(stage_rows, 5);
+  EXPECT_EQ(engine::histogram_rows().size(), 8u);
+  EXPECT_GT(scrape.at("qhip_engine_result_cache_hits"), 0);
+  EXPECT_GT(scrape.at("qhip_engine_planner_decisions"), 0);
+  EXPECT_GT(scrape.at("qhip_engine_trajectory_batches"), 0);
+  EXPECT_GT(scrape.at("qhip_engine_expectation_requests"), 0);
 }
 
 }  // namespace
